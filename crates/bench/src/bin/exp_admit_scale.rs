@@ -11,10 +11,13 @@
 //!   sub-linear headline. The measured **growth exponent**
 //!   `log(p99_ratio) / log(size_ratio)` is asserted `< 0.5`.
 //! * **modified (Theorem 4.1):** streams arrive in deadline order, so the
-//!   DM-rank index pins the re-test set to a single priority level
-//!   (`evaluations` stays O(1)), but that level's response-time analysis
-//!   still walks all higher-priority streams — latency grows linearly.
-//!   The contrast shows what the rank index saves and what it cannot.
+//!   DM-rank index pins the re-test set to a single priority level, which
+//!   the O(1) level certificate decides without iterating (`evaluations`
+//!   = 1). Building the analyzer's task view is still one pass over the
+//!   ring, so latency grows linearly; `modified_p99_growth_exponent`
+//!   reports it (informational, not gated).
+//!
+//! Quantiles are exact nearest-rank values over every timed admission.
 //!
 //! Writes `BENCH_admit.json` for CI artifact upload. `--smoke` switches
 //! to a release-mode end-to-end check instead: a real TCP server, one
@@ -26,10 +29,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Instant;
 
 use ringrt_breakdown::table::{cell, Table};
-use ringrt_des::stats::DurationHistogram;
 use ringrt_registry::{ProtocolKind, RingRegistry, RingSpec};
 use ringrt_service::{spawn, ServiceConfig};
-use ringrt_units::{Bits, Seconds, SimDuration};
+use ringrt_units::{Bits, Seconds};
 
 const OUT_PATH: &str = "BENCH_admit.json";
 
@@ -96,9 +98,10 @@ struct Row {
     build_s: f64,
 }
 
-fn quantile_us(h: &DurationHistogram, q: f64) -> f64 {
-    h.quantile(q)
-        .map_or(f64::NAN, |d| d.as_picos() as f64 / 1e6)
+/// Nearest-rank `q`-quantile of ascending nanosecond samples, in µs.
+fn quantile_us(sorted_ns: &[u64], q: f64) -> f64 {
+    let rank = ((q * sorted_ns.len() as f64).ceil() as usize).clamp(1, sorted_ns.len());
+    sorted_ns[rank - 1] as f64 / 1e3
 }
 
 /// Admits `n` streams into one fresh pinned ring, timing every admission.
@@ -114,7 +117,7 @@ fn run_ring(protocol: ProtocolKind, n: usize) -> Row {
     )
     .expect("register");
 
-    let mut hist = DurationHistogram::new();
+    let mut samples_ns = Vec::with_capacity(n);
     let mut evaluations = 0u64;
     let mut incremental = 0u64;
     let started = Instant::now();
@@ -123,17 +126,18 @@ fn run_ring(protocol: ProtocolKind, n: usize) -> Row {
         let t = Instant::now();
         let out = reg.admit("scale", &format!("s{i}"), stream).expect("admit");
         let ns = t.elapsed().as_nanos() as u64;
-        hist.push(SimDuration::from_picos(ns.saturating_mul(1000)));
+        samples_ns.push(ns);
         assert!(out.applied, "{protocol:?} admission {i}/{n} rejected");
         evaluations += out.check.evaluations;
         incremental += u64::from(out.check.incremental);
     }
     let build_s = started.elapsed().as_secs_f64();
+    samples_ns.sort_unstable();
     Row {
         protocol,
         streams: n,
-        p50_us: quantile_us(&hist, 0.50),
-        p99_us: quantile_us(&hist, 0.99),
+        p50_us: quantile_us(&samples_ns, 0.50),
+        p99_us: quantile_us(&samples_ns, 0.99),
         mean_evaluations: evaluations as f64 / n as f64,
         incremental_share: incremental as f64 / n as f64,
         build_s,
@@ -156,7 +160,7 @@ fn growth_exponent(rows: &[Row]) -> f64 {
     p99_ratio.ln() / ((last.streams as f64 / first.streams as f64).ln())
 }
 
-fn write_json(fddi: &[Row], pdp: &[Row], exponent: f64, sublinear: bool) {
+fn write_json(fddi: &[Row], pdp: &[Row], exponent: f64, pdp_exponent: f64, sublinear: bool) {
     let mut json = String::from("{\n");
     json.push_str("  \"experiment\": \"ADMIT-SCALE\",\n");
     json.push_str("  \"rows\": [\n");
@@ -179,6 +183,9 @@ fn write_json(fddi: &[Row], pdp: &[Row], exponent: f64, sublinear: bool) {
     json.push_str("  ],\n");
     json.push_str(&format!("  \"fddi_p99_growth_exponent\": {exponent:.4},\n"));
     json.push_str(&format!(
+        "  \"modified_p99_growth_exponent\": {pdp_exponent:.4},\n"
+    ));
+    json.push_str(&format!(
         "  \"sublinear_threshold\": {SUBLINEAR_EXPONENT},\n"
     ));
     json.push_str(&format!("  \"sublinear\": {sublinear}\n"));
@@ -200,8 +207,8 @@ fn run_sweep(quick: bool) {
         &[1_000, 10_000, 100_000]
     };
     // PDP admissions cost O(n) each even on the incremental path (the
-    // re-tested level walks every higher-priority stream), so the sweep
-    // caps the contrast ring well below the fddi headline sizes.
+    // analyzer's task view is built from every stream), so the sweep caps
+    // the contrast ring well below the fddi headline sizes.
     let pdp_sizes: &[usize] = if quick {
         &[200, 1_000, 2_000]
     } else {
@@ -241,8 +248,9 @@ fn run_sweep(quick: bool) {
     println!();
 
     let exponent = growth_exponent(&fddi);
+    let pdp_exponent = growth_exponent(&pdp);
     let sublinear = exponent < SUBLINEAR_EXPONENT;
-    write_json(&fddi, &pdp, exponent, sublinear);
+    write_json(&fddi, &pdp, exponent, pdp_exponent, sublinear);
 
     println!(
         "# fddi p99 growth exponent {:.4} over {}x size growth (threshold {}): {}",
@@ -250,6 +258,11 @@ fn run_sweep(quick: bool) {
         fddi_sizes[fddi_sizes.len() - 1] / fddi_sizes[0],
         SUBLINEAR_EXPONENT,
         if sublinear { "PASS" } else { "FAIL" },
+    );
+    println!(
+        "# modified p99 growth exponent {:.4} over {}x size growth (informational)",
+        pdp_exponent,
+        pdp_sizes[pdp_sizes.len() - 1] / pdp_sizes[0],
     );
     println!(
         "# mean re-test set size (evaluations/admit): fddi {:.2}, modified {:.2}",

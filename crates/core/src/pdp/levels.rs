@@ -15,7 +15,7 @@
 
 use ringrt_units::Seconds;
 
-use crate::rm::RmTask;
+use crate::rm::{ceil_ratio, tolerance, RmTask};
 
 /// Maps deadline-monotonic ranks `0..n` onto `levels` hardware priority
 /// classes (level 0 = highest). Ranks are distributed as evenly as
@@ -71,7 +71,7 @@ pub(crate) fn quantized_response_time(
 ) -> Option<Seconds> {
     let task = &tasks[i];
     let deadline = task.deadline;
-    let tol = Seconds::new(1e-9 * deadline.as_secs_f64().max(1e-30));
+    let tol = tolerance(task);
     // Interference set: strictly higher levels plus same-level peers.
     let interferers: Vec<&RmTask> = tasks
         .iter()
@@ -86,14 +86,7 @@ pub(crate) fn quantized_response_time(
         }
         let mut next = task.cost + blocking;
         for t in &interferers {
-            let ratio = r / t.period;
-            let nearest = ratio.round();
-            let ceil = if (ratio - nearest).abs() <= 1e-9 * nearest.abs().max(1.0) {
-                nearest
-            } else {
-                ratio.ceil()
-            };
-            next += t.cost * ceil;
+            next += t.cost * ceil_ratio(r, t.period);
         }
         if next <= r + tol {
             return if next <= deadline + tol {

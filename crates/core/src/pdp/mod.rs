@@ -25,9 +25,10 @@ mod levels;
 mod overhead;
 mod test;
 
+pub use crate::rm::CountedCheck;
 pub use levels::quantize_ranks;
 pub use overhead::{augmented_length, blocking_bound, effective_last_frame_time};
-pub use test::{CountedCheck, PdpAnalyzer, PdpReport, PdpStreamReport};
+pub use test::{PdpAnalyzer, PdpReport, PdpStreamReport};
 
 /// Which implementation of the priority-driven protocol is analyzed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

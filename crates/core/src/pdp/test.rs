@@ -5,7 +5,7 @@ use core::fmt;
 use ringrt_model::{FrameFormat, MessageSet, RingConfig, SetView, StreamId};
 use ringrt_units::Seconds;
 
-use crate::rm::{self, RmTask};
+use crate::rm::{self, CountedCheck, RmTask};
 use crate::SchedulabilityTest;
 
 use super::levels::{is_schedulable_quantized, quantize_ranks, quantized_response_time};
@@ -14,11 +14,12 @@ use super::{augmented_length, blocking_bound, PdpVariant};
 /// Schedulability analyzer for the priority-driven protocol
 /// (paper Theorem 4.1).
 ///
-/// Messages are assigned rate-monotonic priorities (shorter period = higher
-/// priority); each message's augmented length `C'_i` folds in the protocol
-/// overheads of the chosen [`PdpVariant`], and the blocking bound
-/// `B = 2·max(F, Θ)` covers priority inversion from lower-priority and
-/// asynchronous frames.
+/// Messages are assigned deadline-monotonic priorities (shorter relative
+/// deadline = higher priority, which is rate-monotonic for the paper's
+/// implicit-deadline sets); each message's augmented length `C'_i` folds
+/// in the protocol overheads of the chosen [`PdpVariant`], and the
+/// blocking bound `B = 2·max(F, Θ)` covers priority inversion from
+/// lower-priority and asynchronous frames.
 ///
 /// # Examples
 ///
@@ -220,9 +221,8 @@ impl PdpAnalyzer {
     /// materializing a `MessageSet`. Bit-identical to the set path when the
     /// view iterates the same streams: the tasks are built from
     /// [`SetView::dm_streams`] (the same deadline-monotonic order
-    /// `rm_view` sorts into), so the utilization quick-check and every
-    /// fixed-point iteration perform the same float operations in the same
-    /// order.
+    /// `rm_view` sorts into), so [`rm::check_levels_from`] performs the
+    /// same float operations in the same order.
     ///
     /// # Panics
     ///
@@ -248,42 +248,8 @@ impl PdpAnalyzer {
             self.priority_levels.is_none(),
             "counted partial checks require the unquantized analyzer"
         );
-        // Same quick necessary condition as `rm::is_schedulable_rta`: the
-        // lowest-priority task (always within any suffix) diverges when
-        // utilization exceeds 1.
-        let u: f64 = tasks.iter().map(RmTask::utilization).sum();
-        if u > 1.0 + 1e-9 {
-            return CountedCheck {
-                schedulable: false,
-                evaluations: 0,
-            };
-        }
-        let blocking = self.blocking();
-        let mut evaluations = 0u64;
-        for i in from_rank..tasks.len() {
-            let (response, evals) = rm::response_time_counted(&tasks, i, blocking);
-            evaluations += evals;
-            if response.is_none() {
-                return CountedCheck {
-                    schedulable: false,
-                    evaluations,
-                };
-            }
-        }
-        CountedCheck {
-            schedulable: true,
-            evaluations,
-        }
+        rm::check_levels_from(&tasks, self.blocking(), from_rank)
     }
-}
-
-/// Outcome of a counted (possibly partial) response-time check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CountedCheck {
-    /// Whether every tested rank meets its deadline.
-    pub schedulable: bool,
-    /// Fixed-point demand evaluations performed.
-    pub evaluations: u64,
 }
 
 impl SchedulabilityTest for PdpAnalyzer {
@@ -310,7 +276,7 @@ pub struct PdpReport {
     pub variant: PdpVariant,
     /// Blocking bound `B = 2·max(F, Θ)` applied to every stream.
     pub blocking: Seconds,
-    /// Per-stream verdicts, in rate-monotonic priority order.
+    /// Per-stream verdicts, in deadline-monotonic priority order.
     pub per_stream: Vec<PdpStreamReport>,
     /// `true` iff every stream meets its deadline.
     pub schedulable: bool,
@@ -337,7 +303,7 @@ impl fmt::Display for PdpReport {
 pub struct PdpStreamReport {
     /// The stream (= sourcing station index).
     pub stream: StreamId,
-    /// Rate-monotonic priority rank (0 = highest priority).
+    /// Deadline-monotonic priority rank (0 = highest priority).
     pub priority_rank: usize,
     /// Augmented message length `C'_i`.
     pub augmented_cost: Seconds,

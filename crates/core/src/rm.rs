@@ -18,7 +18,14 @@
 //!   `R ← C_i + B + Σ_{j<i} C_j·⌈R/P_j⌉`, which converges to the same
 //!   verdict for deadline = period and is much faster in practice.
 //!
-//! Both assume tasks are indexed in priority order (ascending period).
+//! Whole-set verdicts go through one kernel, [`check_levels_from`]: it
+//! decides most levels in O(1) from a running sum of higher-priority costs
+//! and falls back to [`response_time_counted`] for the rest, with verdicts
+//! identical to running the fixed point on every level.
+//!
+//! All of them assume tasks are indexed in priority order: ascending
+//! relative deadline (deadline-monotonic), which is ascending period for
+//! the paper's implicit-deadline sets.
 
 use ringrt_units::Seconds;
 
@@ -27,14 +34,23 @@ use ringrt_units::Seconds;
 const RATIO_EPS: f64 = 1e-9;
 
 /// `⌈t / p⌉` with tolerance for near-integer ratios.
+///
+/// Any `t > 0` yields at least 1: a window of positive length always holds
+/// one release of every task, however long its period. Snapping a tiny
+/// ratio to 0 would drop that task's interference, an optimistic answer.
 #[must_use]
-fn ceil_ratio(t: Seconds, p: Seconds) -> f64 {
+pub(crate) fn ceil_ratio(t: Seconds, p: Seconds) -> f64 {
     let r = t / p;
     let nearest = r.round();
-    if (r - nearest).abs() <= RATIO_EPS * nearest.abs().max(1.0) {
+    let ceil = if (r - nearest).abs() <= RATIO_EPS * nearest.abs().max(1.0) {
         nearest
     } else {
         r.ceil()
+    };
+    if t > Seconds::ZERO {
+        ceil.max(1.0)
+    } else {
+        ceil
     }
 }
 
@@ -111,6 +127,12 @@ fn debug_assert_priority_order(tasks: &[RmTask]) {
     );
 }
 
+/// Absolute slack the fixed point allows on `task`'s deadline (and on its
+/// convergence test): `RATIO_EPS` relative to the deadline.
+pub(crate) fn tolerance(task: &RmTask) -> Seconds {
+    Seconds::new(RATIO_EPS * task.deadline.as_secs_f64().max(1e-30))
+}
+
 /// The Liu–Layland utilization bound `n(2^{1/n} − 1)`.
 ///
 /// Any task set with total utilization below this bound is schedulable by
@@ -145,7 +167,7 @@ pub fn liu_layland_bound(n: usize) -> f64 {
 /// # Panics
 ///
 /// Panics if `index` is out of range, and in debug builds if the tasks are
-/// not sorted by ascending period.
+/// not sorted by ascending deadline.
 #[must_use]
 pub fn response_time(tasks: &[RmTask], index: usize, blocking: Seconds) -> Option<Seconds> {
     response_time_counted(tasks, index, blocking).0
@@ -172,15 +194,15 @@ pub fn response_time_counted(
 ) -> (Option<Seconds>, u64) {
     debug_assert_priority_order(tasks);
     let task = &tasks[index];
-    let deadline = task.deadline;
-    let tol = Seconds::new(RATIO_EPS * deadline.as_secs_f64().max(1e-30));
+    let tol = tolerance(task);
+    let limit = task.deadline + tol;
     let mut r = task.cost + blocking;
     let mut evaluations = 0u64;
     // Each iteration increases R until the fixed point; bail out as soon as
     // the deadline is exceeded. A generous iteration cap guards against
     // pathological float non-convergence.
     for _ in 0..10_000 {
-        if r > deadline + tol {
+        if r > limit {
             return (None, evaluations);
         }
         let mut next = task.cost + blocking;
@@ -189,11 +211,7 @@ pub fn response_time_counted(
         }
         evaluations += 1;
         if next <= r + tol {
-            let verdict = if next <= deadline + tol {
-                Some(next)
-            } else {
-                None
-            };
+            let verdict = if next <= limit { Some(next) } else { None };
             return (verdict, evaluations);
         }
         r = next;
@@ -209,7 +227,7 @@ pub fn response_time_counted(
 /// # Panics
 ///
 /// Panics if `index` is out of range, and in debug builds if the tasks are
-/// not sorted by ascending period.
+/// not sorted by ascending deadline.
 #[must_use]
 pub fn schedulable_at_points(tasks: &[RmTask], index: usize, blocking: Seconds) -> bool {
     debug_assert_priority_order(tasks);
@@ -242,9 +260,9 @@ pub fn schedulable_at_points(tasks: &[RmTask], index: usize, blocking: Seconds) 
 
 /// Exact RM schedulability of the whole set via the scheduling-point test.
 ///
-/// `tasks` must be sorted by ascending period (rate-monotonic priority
-/// order); `blocking` is added to every task's demand, as in the paper's
-/// Theorem 4.1 where `B = 2·max(F, Θ)` bounds priority inversion.
+/// `tasks` must be sorted by ascending deadline (deadline-monotonic
+/// priority order); `blocking` is added to every task's demand, as in the
+/// paper's Theorem 4.1 where `B = 2·max(F, Θ)` bounds priority inversion.
 #[must_use]
 pub fn is_schedulable_points(tasks: &[RmTask], blocking: Seconds) -> bool {
     (0..tasks.len()).all(|i| schedulable_at_points(tasks, i, blocking))
@@ -254,17 +272,161 @@ pub fn is_schedulable_points(tasks: &[RmTask], blocking: Seconds) -> bool {
 ///
 /// Equivalent verdict to [`is_schedulable_points`] (both are exact for
 /// deadline = period), typically an order of magnitude faster. This is the
-/// workhorse used by the Monte-Carlo breakdown search.
+/// workhorse used by the Monte-Carlo breakdown search: a full
+/// [`check_levels_from`] from level 0.
 #[must_use]
 pub fn is_schedulable_rta(tasks: &[RmTask], blocking: Seconds) -> bool {
+    check_levels_from(tasks, blocking, 0).schedulable
+}
+
+/// Outcome of a counted (possibly partial) response-time check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CountedCheck {
+    /// Whether every tested level meets its deadline.
+    pub schedulable: bool,
+    /// The first tested level (priority rank) that misses its deadline.
+    /// `None` when the set is schedulable, and also when the utilization
+    /// pre-check rejected it before any level was tested.
+    pub failed_level: Option<usize>,
+    /// Demand evaluations performed: one per level decided by the O(1)
+    /// certificate, the fixed-point iteration count for every other level.
+    pub evaluations: u64,
+}
+
+/// Response-time verdict for priority levels `from..n` of `tasks`,
+/// stopping at the first level that misses its deadline.
+///
+/// This is the one Theorem 4.1 kernel behind [`is_schedulable_rta`] and the
+/// PDP analyzer's counted checks. Its verdict, and the first failing level,
+/// are those of a utilization pre-check (`U > 1 + ε` rejects) followed by
+/// [`response_time_counted`] on every level in turn; most levels are just
+/// decided without iterating.
+///
+/// # The certificate
+///
+/// Levels are walked in order while keeping two running values over the
+/// higher-priority tasks `j < i`: `Σ C_j` and `min P_j`. From them,
+/// `L_i = (C_i + B) + Σ_{j<i} C_j` is the demand with every ceiling
+/// `⌈R/P_j⌉` equal to 1, formed in O(1). Write `L*` for the float the
+/// fixed-point loop would compute for the same quantity: its first step
+/// sums `C_i + B` and then each `C_j·1` in index order. `limit` is the
+/// loop's own `D_i + tol`, computed by the same expression.
+///
+/// * `L_i` and `L*` sum the same `i + 2` non-negative terms in two orders.
+///   Recursive summation of `n` terms errs by at most `γ_{n−1}·Σ`, with
+///   `γ_k = k·u/(1 − k·u)` and `u = ε/2`, so `L* ∈ L_i·[1 − g, 1 + g]` for
+///   `g = 2(i+2)·ε`, and rounding the product `L_i·(1 ± g)` stays inside
+///   that slack.
+/// * **Accept.** Suppose `L_i·(1+g) ≤ limit` and `L_i·(1+g) ≤ min P_j`.
+///   Then `0 < C_i + B ≤ L* ≤ P_j` for every `j < i`. Since
+///   [`ceil_ratio`] of a ratio in `(0, 1]` is exactly 1 and `C_j·1 = C_j`
+///   exactly, both loop iterations compute `L*` bit for bit, the second
+///   converges, and the loop returns `Some(L*)` because `L* ≤ limit`.
+/// * **Reject.** Suppose `L_i·(1−g) > limit`, so `L* > limit`. Every
+///   ceiling at a positive `R` is at least 1, so each iterate is at least
+///   `L*` (float addition and multiplication are monotone). The loop
+///   either stops at `C_i + B > limit`, or its first iterate exceeds
+///   `limit`: as a fixed point it fails the deadline test, otherwise the
+///   next pass stops on it. Either way it returns `None`.
+/// * **Otherwise** (inside the guard band, or a higher-priority period is
+///   below `L_i`, or `C_i + B = 0`) the level runs the exact loop. So does
+///   every level of a set with a negative cost or blocking term, where the
+///   summation bound above does not hold.
+///
+/// A certified level counts as one evaluation. Debug builds re-run the
+/// exact loop on every certified level and assert the same verdict.
+///
+/// # Panics
+///
+/// Panics if `from > tasks.len()`, and in debug builds if the tasks are
+/// not sorted by ascending deadline.
+#[must_use]
+pub fn check_levels_from(tasks: &[RmTask], blocking: Seconds, from: usize) -> CountedCheck {
     debug_assert_priority_order(tasks);
     // Quick necessary condition: utilization (ignoring blocking) must not
     // exceed 1, otherwise RTA may take many iterations to diverge.
     let u: f64 = tasks.iter().map(RmTask::utilization).sum();
     if u > 1.0 + RATIO_EPS {
-        return false;
+        return CountedCheck {
+            schedulable: false,
+            failed_level: None,
+            evaluations: 0,
+        };
     }
-    (0..tasks.len()).all(|i| response_time(tasks, i, blocking).is_some())
+    // The certificate's error bound needs non-negative terms.
+    let certify = blocking >= Seconds::ZERO && tasks.iter().all(|t| t.cost >= Seconds::ZERO);
+    let mut hp_cost = Seconds::ZERO;
+    let mut hp_min_period = Seconds::new(f64::INFINITY);
+    for hp in &tasks[..from] {
+        hp_cost += hp.cost;
+        hp_min_period = hp_min_period.min(hp.period);
+    }
+    let mut evaluations = 0u64;
+    for (i, task) in tasks.iter().enumerate().skip(from) {
+        let certified = if certify {
+            certify_level(task, i, blocking, hp_cost, hp_min_period)
+        } else {
+            None
+        };
+        let meets = match certified {
+            Some(meets) => {
+                debug_assert_eq!(
+                    meets,
+                    response_time(tasks, i, blocking).is_some(),
+                    "O(1) certificate disagrees with the fixed point at level {i}"
+                );
+                evaluations += 1;
+                meets
+            }
+            None => {
+                let (response, evals) = response_time_counted(tasks, i, blocking);
+                evaluations += evals;
+                response.is_some()
+            }
+        };
+        if !meets {
+            return CountedCheck {
+                schedulable: false,
+                failed_level: Some(i),
+                evaluations,
+            };
+        }
+        hp_cost += task.cost;
+        hp_min_period = hp_min_period.min(task.period);
+    }
+    CountedCheck {
+        schedulable: true,
+        failed_level: None,
+        evaluations,
+    }
+}
+
+/// The O(1) verdict of [`check_levels_from`]'s certificate for `task` at
+/// priority `level`, given the running sum of higher-priority costs and
+/// their smallest period: `Some(meets_deadline)`, or `None` when only the
+/// exact loop can decide.
+fn certify_level(
+    task: &RmTask,
+    level: usize,
+    blocking: Seconds,
+    hp_cost: Seconds,
+    hp_min_period: Seconds,
+) -> Option<bool> {
+    let start = task.cost + blocking;
+    if start <= Seconds::ZERO {
+        return None;
+    }
+    let demand = start + hp_cost;
+    let limit = task.deadline + tolerance(task);
+    let guard = 2.0 * (level + 2) as f64 * f64::EPSILON;
+    let upper = demand * (1.0 + guard);
+    if upper <= limit && upper <= hp_min_period {
+        Some(true)
+    } else if demand * (1.0 - guard) > limit {
+        Some(false)
+    } else {
+        None
+    }
 }
 
 /// Per-task response times (`None` marks an unschedulable task), for
@@ -476,6 +638,28 @@ mod tests {
         assert_eq!(ceil_ratio(Seconds::new(0.34), Seconds::new(0.1)), 4.0);
         assert_eq!(floor_ratio(Seconds::new(0.3), Seconds::new(0.1)), 3.0);
         assert_eq!(floor_ratio(Seconds::new(0.29), Seconds::new(0.1)), 2.0);
+    }
+
+    #[test]
+    fn ceil_ratio_never_drops_a_release() {
+        // t/p = 1e-10 used to snap to 0, erasing the stream's interference.
+        assert_eq!(
+            ceil_ratio(Seconds::from_nanos(1.0), Seconds::new(10.0)),
+            1.0
+        );
+        assert_eq!(ceil_ratio(Seconds::ZERO, Seconds::new(10.0)), 0.0);
+        // A 1 ms message with a 10⁷ s period and a 2 ms deadline ranks
+        // first and still delays the next stream once.
+        let tasks = [
+            RmTask::with_deadline(
+                Seconds::from_millis(1.0),
+                Seconds::new(1e7),
+                Seconds::from_millis(2.0),
+            ),
+            t(1.0e-3, 10.0),
+        ];
+        let r = response_time(&tasks, 1, NO_BLOCKING).unwrap();
+        assert!((r.as_millis() - 1.001).abs() < 1e-9, "{r}");
     }
 
     #[test]

@@ -36,6 +36,7 @@ impl Json {
     /// or has trailing non-whitespace.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -139,6 +140,8 @@ pub fn escape(s: &str) -> String {
 }
 
 struct Parser<'a> {
+    /// The document; `bytes` is the same text, for byte-wise scanning.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -282,13 +285,21 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are guaranteed valid).
+                    // Copy the whole run up to the next quote or backslash.
+                    // Both are ASCII, which never occurs inside a multi-byte
+                    // UTF-8 sequence, so the run ends on a char boundary of
+                    // the already-validated `text`.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let chunk = self
+                        .text
+                        .get(self.pos..self.pos + run)
+                        .ok_or_else(|| format!("invalid UTF-8 boundary at byte {}", self.pos))?;
+                    out.push_str(chunk);
+                    self.pos += run;
                 }
             }
         }

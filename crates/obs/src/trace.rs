@@ -112,6 +112,25 @@ mod tests {
         assert_eq!(parsed[0].get("tid").unwrap().as_f64(), Some(7.0));
     }
 
+    /// Parsing is linear in the document: a 50k-event trace (~4.5 MB)
+    /// validates in well under a second, where re-validating the rest of
+    /// the document per string character took minutes.
+    #[test]
+    fn large_trace_validates_in_linear_time() {
+        let events: Vec<SpanEvent> = (0..50_000)
+            .map(|i| event(if i % 2 == 0 { "parse" } else { "execute" }, i, 3))
+            .collect();
+        let text = render_chrome_trace(&events);
+        let started = std::time::Instant::now();
+        assert_eq!(validate_chrome_trace(&text), Ok(50_000));
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "validating {} bytes took {elapsed:?}",
+            text.len()
+        );
+    }
+
     #[test]
     fn validator_rejects_malformed_documents() {
         assert!(validate_chrome_trace("{}").is_err());
