@@ -1,9 +1,9 @@
 //! Std-only readiness event-loop primitives for the ringrt service.
 //!
-//! The admission service historically ran one blocking thread per
-//! connection, which caps the client population a node can hold at
-//! thread-spawn scale. This crate supplies the pieces of a classic
-//! readiness loop — the shape that holds 10⁵ connections per node —
+//! One blocking thread per connection caps the client population a node
+//! can hold at thread-spawn scale, so the admission service serves every
+//! connection from a few readiness loops. This crate supplies the pieces
+//! of such a loop — the shape that holds 10⁵ connections per node —
 //! without adding any external dependency, in keeping with the
 //! workspace's offline vendoring discipline:
 //!
@@ -24,8 +24,8 @@
 //!   size themselves to what the host allows.
 //!
 //! Only [`Poller`] and [`Waker`] require Linux; on other targets their
-//! constructors return [`std::io::ErrorKind::Unsupported`] and the
-//! service falls back to its blocking thread-per-connection front end.
+//! constructors return [`std::io::ErrorKind::Unsupported`], which makes
+//! the service fail at bind there.
 //! The framing buffers, wheel, and table are pure data structures and
 //! work (and are tested) everywhere.
 //!

@@ -12,7 +12,7 @@
 //!
 //! On non-Linux targets the entry points exist but return
 //! [`std::io::ErrorKind::Unsupported`], so the crate compiles everywhere
-//! and callers can fall back to the blocking front end.
+//! and callers can report the platform as unsupported.
 
 use std::io;
 

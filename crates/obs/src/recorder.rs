@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 /// Number of independent ring-buffer shards. Events are routed by a hash
 /// of the recording thread's id, so with the handful of worker and
-/// connection threads the service runs, pushes are almost always
+/// event-loop threads the service runs, pushes are almost always
 /// uncontended.
 const SHARDS: usize = 16;
 

@@ -32,9 +32,6 @@
 //!   between journals whose identities differ — two unrelated journals
 //!   must never silently interleave.
 //!
-//! A legacy single-file `journal.log` (the pre-segmentation layout) is
-//! migrated on open by renaming it to `journal.000001.log`.
-//!
 //! # Crash recovery
 //!
 //! Startup loads the snapshot (ignored wholesale if its checksum fails),
@@ -79,7 +76,6 @@ use crate::spec::{
     validate_name, NamedStream, ProtocolKind, RegistryError, RingSpec, RingState, Rings,
 };
 
-const LEGACY_JOURNAL_FILE: &str = "journal.log";
 const SNAPSHOT_FILE: &str = "snapshot.dat";
 const SNAPSHOT_TMP: &str = "snapshot.tmp";
 const SNAPSHOT_HEADER: &str = "ringrt-registry-snapshot v1";
@@ -644,14 +640,7 @@ impl Store {
             }
         }
 
-        // Discover segments; migrate a legacy single-file journal first.
-        let mut indices = Self::list_segments(dir)?;
-        let legacy = dir.join(LEGACY_JOURNAL_FILE);
-        if indices.is_empty() && legacy.exists() {
-            fsx.rename(&legacy, &dir.join(segment_file(1)))
-                .map_err(|e| storage_err("migrate legacy journal.log", e))?;
-            indices = vec![1];
-        }
+        let indices = Self::list_segments(dir)?;
 
         let floor = snapshot_seq;
         let mut max_seq = floor;
@@ -1411,27 +1400,6 @@ mod tests {
         assert_eq!(rings["r"].len(), 8);
         assert!(stats.segments > 1);
         assert_eq!(store.next_seq(), 10);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_single_file_journal_migrates() {
-        let dir = temp_dir("legacy");
-        fs::create_dir_all(&dir).unwrap();
-        let reg = JournalOp::Register {
-            ring: "old".into(),
-            spec: spec(),
-        };
-        let adm = admit_op("old", "s", 20.0, 1_000);
-        let mut body = encode_record(1, &reg);
-        body.push_str(&encode_record(2, &adm));
-        fs::write(dir.join(LEGACY_JOURNAL_FILE), body).unwrap();
-        let (store, rings, stats) = Store::open(&dir).unwrap();
-        assert_eq!(stats.records_applied, 2);
-        assert_eq!(rings["old"].len(), 1);
-        assert_eq!(store.next_seq(), 3);
-        assert!(!dir.join(LEGACY_JOURNAL_FILE).exists());
-        assert!(dir.join(segment_file(1)).exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -271,22 +271,6 @@ fn kill_between_every_pair_of_compaction_steps_recovers() {
     }
 }
 
-#[test]
-fn legacy_single_file_journal_migrates_on_open() {
-    let dir = temp_dir("legacy");
-    {
-        let reg = RingRegistry::open(&dir).unwrap();
-        populate(&reg, "lab", 3);
-    }
-    // Rewind the layout to the pre-segmentation era: one journal.log.
-    fs::rename(dir.join("journal.000001.log"), dir.join("journal.log")).unwrap();
-    let reg = RingRegistry::open(&dir).unwrap();
-    assert_eq!(reg.ring_state("lab").unwrap().len(), 3);
-    assert!(dir.join("journal.000001.log").exists());
-    assert!(!dir.join("journal.log").exists());
-    let _ = fs::remove_dir_all(&dir);
-}
-
 // ---------------------------------------------------------------------------
 // Segmented kill matrix: enumerate EVERY durable filesystem operation a
 // churn workload performs — appends, fsyncs, segment seals/rotations,

@@ -8,7 +8,7 @@
 //! order hit the same entry.
 //!
 //! The map is split into [`SHARDS`] independently locked shards (hash of
-//! the key picks the shard) so concurrent workers and connection threads
+//! the key picks the shard) so concurrent workers and event loops
 //! rarely contend on the same mutex. Each shard holds at most
 //! `capacity / SHARDS` entries; inserting into a full shard evicts its
 //! least-recently-used entry (recency is a global atomic tick stamped on

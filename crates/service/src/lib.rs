@@ -9,7 +9,8 @@
 //! operational envelope such a component needs:
 //!
 //! * a **newline-delimited text protocol** ([`protocol`]) reusing the
-//!   CLI's message-set format inline;
+//!   CLI's message-set format inline, served by a few epoll readiness
+//!   loops (Linux only) that hold thousands of connections cheaply;
 //! * a **bounded worker pool** ([`server`]) that sheds load with an
 //!   explicit `BUSY` when the queue is full and expires requests that
 //!   overstay their per-request deadline — an admission controller that
@@ -66,4 +67,4 @@ pub use protocol::{
     DEFAULT_ABU_SAMPLES, MAX_ABU_SAMPLES, MAX_BATCH, MAX_LINE_BYTES,
 };
 pub use replication::{ReplicationState, Role};
-pub use server::{spawn, Frontend, ServerHandle, ServiceConfig};
+pub use server::{spawn, ServerHandle, ServiceConfig};

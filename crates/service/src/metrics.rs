@@ -110,8 +110,7 @@ struct WorkerStats {
     busy_us: AtomicU64,
 }
 
-/// Connection front-end counters shared by both front ends (the blocking
-/// thread-per-connection path and the epoll event loops).
+/// Connection counters of the acceptor and the epoll event loops.
 ///
 /// `open` is a **gauge** — it tracks present state (currently connected
 /// clients) and therefore survives `STATS RESET`, unlike the accumulated
@@ -443,7 +442,7 @@ impl Metrics {
         );
         w.gauge(
             "ringrt_connections_open",
-            "Client connections currently open across both front ends.",
+            "Client connections currently open.",
             &[],
             c(&self.conns.open),
         );

@@ -72,7 +72,7 @@ pub use ringrt_registry::{ProtocolKind, RingSpec};
 /// Largest pipelined batch a single `BATCH` header may announce.
 pub const MAX_BATCH: usize = 1024;
 
-/// Largest request line (bytes, excluding the newline) either front end
+/// Largest request line (bytes, excluding the newline) the server
 /// accepts. Longer lines are answered with an error and the connection is
 /// closed — an unbounded line is memory a client controls.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
