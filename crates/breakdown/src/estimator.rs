@@ -162,16 +162,13 @@ impl BreakdownEstimator {
     /// pool returns sample results in index order, so the mean, CI, and
     /// full sample statistics match byte for byte no matter how the
     /// samples interleave across workers.
-    pub fn estimate_parallel<T>(
+    pub fn estimate_parallel<T: SchedulabilityTest + ?Sized>(
         &self,
         test: &T,
         bandwidth: Bandwidth,
         seed: u64,
         pool: &Pool,
-    ) -> BreakdownEstimate
-    where
-        T: SchedulabilityTest + Sync + ?Sized,
-    {
+    ) -> BreakdownEstimate {
         let mut rng = StdRng::seed_from_u64(seed);
         let seeds = self.sample_seeds(&mut rng);
         let samples = pool.map(self.samples, |k| self.run_sample(test, bandwidth, seeds[k]));

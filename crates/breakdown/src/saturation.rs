@@ -88,7 +88,7 @@ impl SaturationSearch {
         bandwidth: Bandwidth,
     ) -> Option<SaturatedSet> {
         // Establish a bracket [lo, hi] with schedulable(lo) ∧ ¬schedulable(hi).
-        let schedulable_at = |alpha: f64| test.is_schedulable(&set.with_scaled_lengths(alpha));
+        let schedulable_at = test.scaling_probe(set);
 
         let mut lo;
         let mut hi;
@@ -152,21 +152,18 @@ impl SaturationSearch {
     /// **identical** to [`SaturationSearch::saturate`]. Probe counts
     /// differ in their final `α*` only within the search tolerance.
     #[must_use]
-    pub fn saturate_with<T>(
+    pub fn saturate_with<T: SchedulabilityTest + ?Sized>(
         &self,
         test: &T,
         set: &MessageSet,
         bandwidth: Bandwidth,
         pool: &Pool,
-    ) -> Option<SaturatedSet>
-    where
-        T: SchedulabilityTest + Sync + ?Sized,
-    {
+    ) -> Option<SaturatedSet> {
         let probes = pool.threads().min(MAX_SECTIONS);
         if probes <= 1 {
             return self.saturate(test, set, bandwidth);
         }
-        let schedulable_at = |alpha: f64| test.is_schedulable(&set.with_scaled_lengths(alpha));
+        let schedulable_at = test.scaling_probe(set);
         let batch = |alphas: &[f64]| pool.map_slice(alphas, |&a| schedulable_at(a));
 
         // Establish a bracket [lo, hi] with schedulable(lo) ∧ ¬schedulable(hi),

@@ -474,7 +474,7 @@ fn abu<W: Write>(mbps: f64, stations: usize, samples: usize, seed: u64, out: &mu
         out,
         "average breakdown utilization at {bw}, {stations} stations, {samples} samples:"
     );
-    let candidates: Vec<(&str, Box<dyn SchedulabilityTest + Sync>)> = vec![
+    let candidates: Vec<(&str, Box<dyn SchedulabilityTest>)> = vec![
         (
             "802.5",
             Box::new(PdpAnalyzer::new(

@@ -57,5 +57,5 @@ pub mod ttp;
 
 mod protocol;
 
-pub use protocol::{Protocol, SchedulabilityTest};
+pub use protocol::{Protocol, ScalingProbe, SchedulabilityTest};
 pub use ringrt_model::SetView;

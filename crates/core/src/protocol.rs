@@ -4,19 +4,34 @@ use core::fmt;
 
 use ringrt_model::MessageSet;
 
+/// The verdict of one test on one message set with every length scaled by
+/// `α`, as returned by [`SchedulabilityTest::scaling_probe`].
+pub type ScalingProbe<'a> = Box<dyn Fn(f64) -> bool + Sync + 'a>;
+
 /// A protocol-specific schedulability criterion.
 ///
 /// Implementors decide whether a synchronous message set can be
 /// *guaranteed* — every message of every stream always transmitted before
 /// its deadline — under worst-case phasing and asynchronous interference.
 /// The Monte-Carlo breakdown-utilization estimator drives this trait
-/// generically over both protocols.
-pub trait SchedulabilityTest {
+/// generically over both protocols, from pool workers: a test is `Sync`.
+pub trait SchedulabilityTest: Sync {
     /// Returns `true` iff the message set is guaranteed by the protocol.
     fn is_schedulable(&self, set: &MessageSet) -> bool;
 
     /// Human-readable protocol name (Figure 1 legend style).
     fn protocol_name(&self) -> &'static str;
+
+    /// The verdict over the length scale `α` for one set: `probe(α)` must
+    /// equal `self.is_schedulable(&set.with_scaled_lengths(α))` for every
+    /// `α`, from any thread and in any call order.
+    ///
+    /// The saturation search probes one set at ~20 scales; an override may
+    /// prepare whatever does not depend on `α` once. The default is the
+    /// definition itself.
+    fn scaling_probe<'a>(&'a self, set: &'a MessageSet) -> ScalingProbe<'a> {
+        Box::new(move |alpha| self.is_schedulable(&set.with_scaled_lengths(alpha)))
+    }
 }
 
 impl<T: SchedulabilityTest + ?Sized> SchedulabilityTest for &T {
@@ -26,6 +41,9 @@ impl<T: SchedulabilityTest + ?Sized> SchedulabilityTest for &T {
     fn protocol_name(&self) -> &'static str {
         (**self).protocol_name()
     }
+    fn scaling_probe<'a>(&'a self, set: &'a MessageSet) -> ScalingProbe<'a> {
+        (**self).scaling_probe(set)
+    }
 }
 
 impl<T: SchedulabilityTest + ?Sized> SchedulabilityTest for Box<T> {
@@ -34,6 +52,9 @@ impl<T: SchedulabilityTest + ?Sized> SchedulabilityTest for Box<T> {
     }
     fn protocol_name(&self) -> &'static str {
         (**self).protocol_name()
+    }
+    fn scaling_probe<'a>(&'a self, set: &'a MessageSet) -> ScalingProbe<'a> {
+        (**self).scaling_probe(set)
     }
 }
 

@@ -40,9 +40,6 @@ pub use ttrt::TtrtPolicy;
 
 use ringrt_units::Seconds;
 
-/// Relative tolerance for near-integer `P_i / TTRT` ratios.
-pub(crate) const RATIO_EPS: f64 = 1e-9;
-
 /// `q_i = ⌊P_i / TTRT⌋`, the guaranteed token-visit count parameter, with
 /// tolerance for near-integer ratios.
 ///
@@ -57,13 +54,7 @@ pub(crate) const RATIO_EPS: f64 = 1e-9;
 /// ```
 #[must_use]
 pub fn visit_count(period: Seconds, ttrt: Seconds) -> u64 {
-    let r = period / ttrt;
-    let nearest = r.round();
-    let v = if (r - nearest).abs() <= RATIO_EPS * nearest.abs().max(1.0) {
-        nearest
-    } else {
-        r.floor()
-    };
+    let v = crate::rm::snapped_floor_ceil(period / ttrt).0;
     if v < 0.0 {
         0
     } else {

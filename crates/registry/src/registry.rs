@@ -597,7 +597,8 @@ impl RingRegistry {
     /// on every mutation and is never reused, not even by an
     /// unregister/re-register cycle under the same name, so
     /// `(ring, generation)` keys derived caches that go stale exactly when
-    /// the ring actually changed.
+    /// the ring actually changed. The counter is bumped before it is
+    /// assigned, so a ring's generation is never 0.
     ///
     /// # Errors
     ///
@@ -1139,6 +1140,7 @@ mod tests {
         let reg = RingRegistry::in_memory();
         reg.register("r", fddi_spec()).unwrap();
         let (_, g0) = reg.ring_snapshot("r").unwrap();
+        assert!(g0 > 0, "0 tags inline-set cache keys");
         reg.admit("r", "a", stream(20.0, 100_000)).unwrap();
         let (_, g1) = reg.ring_snapshot("r").unwrap();
         assert!(g1 > g0);

@@ -43,7 +43,7 @@ pub struct CacheKey {
     mbps_bits: u64,
     stations: usize,
     /// `(period seconds as bits, payload bits)` per stream, sorted.
-    streams: Vec<(u64, u64)>,
+    streams: Box<[(u64, u64)]>,
     /// SIMULATE-only parameters; zeroed for the analytic commands so that
     /// e.g. a CHECK and a SATURATION of the same set stay distinct only
     /// via `command`. `ABU` keys reuse the first two slots for
@@ -53,9 +53,9 @@ pub struct CacheKey {
     /// lookup time. Generations are globally unique and bumped on every
     /// `ADMIT`/`REMOVE`/`REGISTER`, so an entry tagged with one simply stops
     /// being reachable the moment its ring mutates — no `EVICT` needed.
-    /// `None` for inline-set requests, whose key already *is* the full
-    /// input.
-    ring_generation: Option<u64>,
+    /// Generations start at 1, so 0 marks an inline-set request, whose key
+    /// already *is* the full input.
+    ring_generation: u64,
 }
 
 impl CommandKind {
@@ -89,9 +89,9 @@ impl CacheKey {
             protocol: req.protocol,
             mbps_bits: req.mbps.to_bits(),
             stations: req.effective_stations(),
-            streams,
+            streams: streams.into_boxed_slice(),
             sim,
-            ring_generation: None,
+            ring_generation: 0,
         })
     }
 
@@ -105,17 +105,23 @@ impl CacheKey {
             protocol: req.protocol,
             mbps_bits: req.mbps.to_bits(),
             stations: req.stations,
-            streams: Vec::new(),
+            streams: Box::default(),
             sim: (req.samples as u64, req.seed, 0),
-            ring_generation: None,
+            ring_generation: 0,
         }
     }
 
     /// Tags this key with a ring's registry mutation generation, scoping it
     /// to one exact incarnation of a stored ring's state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `generation` is 0, the tag of inline-set keys (registry
+    /// generations start at 1).
     #[must_use]
     pub fn with_ring_generation(mut self, generation: u64) -> CacheKey {
-        self.ring_generation = Some(generation);
+        assert_ne!(generation, 0, "ring generations start at 1");
+        self.ring_generation = generation;
         self
     }
 
@@ -129,14 +135,18 @@ impl CacheKey {
 /// A cached response body stamped with its last-use tick.
 #[derive(Debug)]
 struct Entry {
-    body: String,
+    body: Box<str>,
     last_used: u64,
 }
 
 /// The sharded LRU verdict cache with hit/miss/eviction accounting.
+///
+/// A shard's table holds each key behind a `Box`: a full shard's table has
+/// twice as many slots as entries, so a 32-byte slot plus one exact-size
+/// key allocation per entry takes less memory than an inline key.
 #[derive(Debug)]
 pub struct ResultCache {
-    shards: Vec<Mutex<HashMap<CacheKey, Entry>>>,
+    shards: Vec<Mutex<HashMap<Box<CacheKey>, Entry>>>,
     /// Entry cap per shard (total capacity / [`SHARDS`], at least 1).
     shard_capacity: usize,
     /// Monotonic recency clock; bumped on every get and insert.
@@ -182,7 +192,7 @@ impl ResultCache {
             .expect("cache shard poisoned");
         let found = shard.get_mut(key).map(|e| {
             e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-            e.body.clone()
+            String::from(&*e.body)
         });
         drop(shard);
         if found.is_some() {
@@ -203,14 +213,20 @@ impl ResultCache {
             if let Some(coldest) = shard
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
+                .map(|(k, _)| CacheKey::clone(k))
             {
                 shard.remove(&coldest);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
         let last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-        shard.insert(key, Entry { body, last_used });
+        shard.insert(
+            Box::new(key),
+            Entry {
+                body: body.into_boxed_str(),
+                last_used,
+            },
+        );
     }
 
     /// Drops every entry (the `EVICT` command), returning how many were
@@ -331,6 +347,23 @@ mod tests {
         assert_ne!(base, g1);
         assert_ne!(g1, g2);
         assert_eq!(g1, base.with_ring_generation(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "start at 1")]
+    fn generation_zero_is_reserved_for_inline_sets() {
+        let _ = key_of("CHECK mbps=16 set=20,1000")
+            .unwrap()
+            .with_ring_generation(0);
+    }
+
+    #[test]
+    fn slots_stay_compact() {
+        // A full cache holds DEFAULT_CAPACITY entries in twice as many
+        // table slots. Boxed slices and strings drop the unused capacity
+        // word, and generation 0 replaces the `Option` tag.
+        assert!(std::mem::size_of::<(Box<CacheKey>, Entry)>() <= 32);
+        assert!(std::mem::size_of::<CacheKey>() <= 72);
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn analyzer_for(
     protocol: ProtocolKind,
     stations: usize,
     bw: Bandwidth,
-) -> Box<dyn SchedulabilityTest + Sync> {
+) -> Box<dyn SchedulabilityTest> {
     match protocol {
         ProtocolKind::Ieee8025 => Box::new(PdpAnalyzer::new(
             RingConfig::ieee_802_5(stations, bw),

@@ -81,6 +81,11 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 /// it pins a worker (and fans over the execution pool) for the duration.
 pub const MAX_ABU_SAMPLES: usize = 5_000;
 
+/// Largest ring an `ABU` request may ask about — ten times the paper's
+/// 100 stations. Every sample generates one stream per station on a pool
+/// worker, so an unbounded count is memory a client controls.
+pub const MAX_ABU_STATIONS: usize = 1_000;
+
 /// `ABU` sample count when the request does not say.
 pub const DEFAULT_ABU_SAMPLES: usize = 100;
 
@@ -182,7 +187,8 @@ pub struct AbuRequest {
     pub protocol: ProtocolKind,
     /// Ring bandwidth in Mbps.
     pub mbps: f64,
-    /// Stations on the ring (also the population's stream count).
+    /// Stations on the ring (also the population's stream count),
+    /// `1..=`[`MAX_ABU_STATIONS`].
     pub stations: usize,
     /// Monte-Carlo samples, `1..=`[`MAX_ABU_SAMPLES`].
     pub samples: usize,
@@ -487,8 +493,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 return Err(format!("mbps must be positive, got {mbps}"));
             }
             let stations: usize = required(&pairs, "stations")?;
-            if stations == 0 {
-                return Err("stations must be at least 1".to_owned());
+            if stations == 0 || stations > MAX_ABU_STATIONS {
+                return Err(format!("stations must be in 1..={MAX_ABU_STATIONS}"));
             }
             let samples: usize = optional(&pairs, "samples")?.unwrap_or(DEFAULT_ABU_SAMPLES);
             if samples == 0 || samples > MAX_ABU_SAMPLES {
@@ -817,6 +823,19 @@ mod tests {
         ))
         .is_err());
         assert!(parse_request("ABU mbps=16 stations=8 set=20,1000").is_err());
+    }
+
+    #[test]
+    fn abu_stations_are_bounded() {
+        let at_bound = format!("ABU mbps=100 stations={MAX_ABU_STATIONS}");
+        match parse_request(&at_bound).unwrap() {
+            Request::Abu(a) => assert_eq!(a.stations, MAX_ABU_STATIONS),
+            other => panic!("unexpected {other:?}"),
+        }
+        let past = format!("ABU mbps=100 stations={}", MAX_ABU_STATIONS + 1);
+        assert!(parse_request(&past).unwrap_err().contains("stations"));
+        let err = parse_request("ABU mbps=100 stations=100000000 samples=5000").unwrap_err();
+        assert!(err.contains(&format!("1..={MAX_ABU_STATIONS}")), "{err}");
     }
 
     #[test]

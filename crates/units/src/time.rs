@@ -40,6 +40,7 @@ impl Seconds {
     /// Panics if `secs` is NaN. Infinite and negative values are allowed
     /// (negative durations arise transiently in slack computations).
     #[must_use]
+    #[inline]
     pub fn new(secs: f64) -> Self {
         assert!(!secs.is_nan(), "Seconds cannot be NaN");
         Seconds(secs)
@@ -65,6 +66,7 @@ impl Seconds {
 
     /// Returns the raw value in seconds.
     #[must_use]
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0
     }
@@ -101,18 +103,21 @@ impl Seconds {
 
     /// Returns the smaller of two durations.
     #[must_use]
+    #[inline]
     pub fn min(self, other: Seconds) -> Seconds {
         Seconds(self.0.min(other.0))
     }
 
     /// Returns the larger of two durations.
     #[must_use]
+    #[inline]
     pub fn max(self, other: Seconds) -> Seconds {
         Seconds(self.0.max(other.0))
     }
 
     /// Returns the absolute value of the duration.
     #[must_use]
+    #[inline]
     pub fn abs(self) -> Seconds {
         Seconds(self.0.abs())
     }
@@ -172,12 +177,14 @@ impl fmt::Display for Seconds {
 
 impl Add for Seconds {
     type Output = Seconds;
+    #[inline]
     fn add(self, rhs: Seconds) -> Seconds {
         Seconds::new(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for Seconds {
+    #[inline]
     fn add_assign(&mut self, rhs: Seconds) {
         *self = *self + rhs;
     }
@@ -185,12 +192,14 @@ impl AddAssign for Seconds {
 
 impl Sub for Seconds {
     type Output = Seconds;
+    #[inline]
     fn sub(self, rhs: Seconds) -> Seconds {
         Seconds::new(self.0 - rhs.0)
     }
 }
 
 impl SubAssign for Seconds {
+    #[inline]
     fn sub_assign(&mut self, rhs: Seconds) {
         *self = *self - rhs;
     }
@@ -198,6 +207,7 @@ impl SubAssign for Seconds {
 
 impl Neg for Seconds {
     type Output = Seconds;
+    #[inline]
     fn neg(self) -> Seconds {
         Seconds::new(-self.0)
     }
@@ -205,6 +215,7 @@ impl Neg for Seconds {
 
 impl Mul<f64> for Seconds {
     type Output = Seconds;
+    #[inline]
     fn mul(self, rhs: f64) -> Seconds {
         Seconds::new(self.0 * rhs)
     }
@@ -212,6 +223,7 @@ impl Mul<f64> for Seconds {
 
 impl Mul<Seconds> for f64 {
     type Output = Seconds;
+    #[inline]
     fn mul(self, rhs: Seconds) -> Seconds {
         Seconds::new(self * rhs.0)
     }
@@ -219,6 +231,7 @@ impl Mul<Seconds> for f64 {
 
 impl Div<f64> for Seconds {
     type Output = Seconds;
+    #[inline]
     fn div(self, rhs: f64) -> Seconds {
         Seconds::new(self.0 / rhs)
     }
@@ -227,6 +240,7 @@ impl Div<f64> for Seconds {
 /// The dimensionless ratio of two durations.
 impl Div<Seconds> for Seconds {
     type Output = f64;
+    #[inline]
     fn div(self, rhs: Seconds) -> f64 {
         self.0 / rhs.0
     }
