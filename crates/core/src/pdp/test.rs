@@ -2,11 +2,12 @@
 
 use core::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use ringrt_model::{FrameFormat, MessageSet, RingConfig, SetView, StreamId, SyncStream};
 use ringrt_units::Seconds;
 
-use crate::rm::{self, CountedCheck, RmTask};
+use crate::rm::{self, CountedCheck, RmTask, WarmStart};
 use crate::{ScalingProbe, SchedulabilityTest};
 
 use super::levels::{is_schedulable_quantized, quantize_ranks, quantized_response_time};
@@ -238,6 +239,45 @@ impl PdpAnalyzer {
         self.check_tasks_from_rank(tasks, from_rank)
     }
 
+    /// The prepared Theorem 4.1 probe behind
+    /// [`SchedulabilityTest::scaling_probe`], with its work: `probe(α)` is
+    /// the [`CountedCheck`] of `set` with every length scaled by `α`.
+    ///
+    /// The probe sorts the deadline-monotonic order once, re-tests the
+    /// level that failed the latest probe first, and starts each fixed
+    /// point from the response times of the largest passing scale at or
+    /// below `α` seen so far. `schedulable` always equals
+    /// `is_schedulable(&set.with_scaled_lengths(α))`, from any thread and in
+    /// any call order; `evaluations` depends on the probes before, and
+    /// `failed_level` names a failing level, the first one unless the
+    /// re-tested level failed first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this analyzer restricts hardware priority levels.
+    pub fn counted_probe<'a>(
+        &'a self,
+        set: &'a MessageSet,
+    ) -> impl Fn(f64) -> CountedCheck + Sync + 'a {
+        assert!(
+            self.priority_levels.is_none(),
+            "the counted probe requires the unquantized analyzer"
+        );
+        let scaled = ScaledSet {
+            analyzer: self,
+            set,
+            order: set.dm_order(),
+            blocking: self.blocking(),
+            last_failed: AtomicUsize::new(usize::MAX),
+            passed: Mutex::new(Passed {
+                alpha: f64::NEG_INFINITY,
+                tasks: Vec::new(),
+                response: Vec::new(),
+            }),
+        };
+        move |alpha| scaled.check(alpha)
+    }
+
     fn check_tasks_from_rank(&self, tasks: Vec<RmTask>, from_rank: usize) -> CountedCheck {
         assert!(
             self.priority_levels.is_none(),
@@ -263,21 +303,14 @@ impl SchedulabilityTest for PdpAnalyzer {
         self.variant.label()
     }
 
-    /// The unquantized analyzer prepares the set's deadline-monotonic order
-    /// once and re-tests the level that failed last before a full check
-    /// (see `ScaledSet`); quantized levels keep the default.
+    /// The unquantized analyzer's probe is [`PdpAnalyzer::counted_probe`]'s
+    /// verdict; quantized levels keep the default.
     fn scaling_probe<'a>(&'a self, set: &'a MessageSet) -> ScalingProbe<'a> {
         if self.priority_levels.is_some() {
             return Box::new(move |alpha| self.is_schedulable(&set.with_scaled_lengths(alpha)));
         }
-        let scaled = ScaledSet {
-            analyzer: self,
-            set,
-            order: set.dm_order(),
-            blocking: self.blocking(),
-            last_failed: AtomicUsize::new(usize::MAX),
-        };
-        Box::new(move |alpha| scaled.is_schedulable(alpha))
+        let probe = self.counted_probe(set);
+        Box::new(move |alpha| probe(alpha).schedulable)
     }
 }
 
@@ -291,7 +324,12 @@ impl SchedulabilityTest for PdpAnalyzer {
 ///   depends only on `tasks[..=i]` and `B`, so a miss at the level that
 ///   failed the latest probe is already the set's `false`; otherwise the
 ///   full check decides. The hint is only a guess at where to look first,
-///   so it may come from any earlier probe on any thread.
+///   so it may come from any earlier probe on any thread;
+/// * every fixed point the kernel runs may start from the response times
+///   of the largest passing scale `α_s ≤ α` seen so far. The kernel checks
+///   the costs, periods and blocking term against that copy level by level
+///   and proves the result identical to a cold start (`rm::check_levels`),
+///   so any snapshot gives the same verdict, whichever thread stored it.
 struct ScaledSet<'a> {
     analyzer: &'a PdpAnalyzer,
     set: &'a MessageSet,
@@ -300,10 +338,22 @@ struct ScaledSet<'a> {
     /// The level that failed the latest failing probe, `usize::MAX` before
     /// the first.
     last_failed: AtomicUsize,
+    /// The largest passing scale so far. Probes copy it out and drop the
+    /// lock before evaluating; a larger passing scale overwrites it in
+    /// place, so its buffers are allocated once per set.
+    passed: Mutex<Passed>,
+}
+
+/// One passing probe: its scale (`-∞` before the first), tasks and
+/// per-level response times.
+struct Passed {
+    alpha: f64,
+    tasks: Vec<RmTask>,
+    response: Vec<Option<Seconds>>,
 }
 
 impl ScaledSet<'_> {
-    fn is_schedulable(&self, alpha: f64) -> bool {
+    fn check(&self, alpha: f64) -> CountedCheck {
         debug_assert_eq!(self.order, self.set.with_scaled_lengths(alpha).dm_order());
         let tasks: Vec<RmTask> = self
             .order
@@ -313,15 +363,45 @@ impl ScaledSet<'_> {
                 self.analyzer.rm_task(&scaled)
             })
             .collect();
-        let hint = self.last_failed.load(Ordering::Relaxed);
-        if hint < tasks.len() && rm::response_time(&tasks, hint, self.blocking).is_none() {
-            return false;
+        let (mut warm_tasks, mut warm_response) = (Vec::new(), Vec::new());
+        {
+            let passed = self.passed.lock().unwrap_or_else(PoisonError::into_inner);
+            if passed.alpha <= alpha {
+                warm_tasks.extend_from_slice(&passed.tasks);
+                warm_response.extend_from_slice(&passed.response);
+            }
         }
-        let check = rm::check_levels_from(&tasks, self.blocking, 0);
+        let warm = (!warm_tasks.is_empty()).then_some(WarmStart {
+            tasks: &warm_tasks,
+            blocking: self.blocking,
+            response: &warm_response,
+        });
+        let mut response = vec![None; tasks.len()];
+        let mut hinted = 0;
+        let hint = self.last_failed.load(Ordering::Relaxed);
+        if hint < tasks.len() {
+            let check =
+                rm::check_levels(&tasks, self.blocking, hint..hint + 1, warm, &mut response);
+            if !check.schedulable {
+                return check;
+            }
+            hinted = check.evaluations;
+        }
+        let mut check =
+            rm::check_levels(&tasks, self.blocking, 0..tasks.len(), warm, &mut response);
+        check.evaluations += hinted;
         if let Some(level) = check.failed_level {
             self.last_failed.store(level, Ordering::Relaxed);
         }
-        check.schedulable
+        if check.schedulable {
+            let mut passed = self.passed.lock().unwrap_or_else(PoisonError::into_inner);
+            if passed.alpha < alpha {
+                passed.alpha = alpha;
+                passed.tasks.clone_from(&tasks);
+                passed.response.clone_from(&response);
+            }
+        }
+        check
     }
 }
 

@@ -18,20 +18,27 @@
 //!   `R ← C_i + B + Σ_{j<i} C_j·⌈R/P_j⌉`, which converges to the same
 //!   verdict for deadline = period and is much faster in practice.
 //!
-//! Whole-set verdicts go through one kernel, [`check_levels_from`]: it
-//! decides most levels in O(1) from a running sum of higher-priority costs
-//! and falls back to [`response_time_counted`] for the rest, with verdicts
-//! identical to running the fixed point on every level.
+//! Whole-set verdicts go through one kernel, [`check_levels`]: it decides
+//! most levels in O(1) from a running sum of higher-priority costs and
+//! falls back to [`response_time_counted`] for the rest, optionally
+//! starting it from an earlier check's response times. Its verdicts, and
+//! the response times it reports, are those of the cold fixed point run
+//! on every level.
 //!
 //! All of them assume tasks are indexed in priority order: ascending
 //! relative deadline (deadline-monotonic), which is ascending period for
 //! the paper's implicit-deadline sets.
+
+use core::ops::Range;
 
 use ringrt_units::Seconds;
 
 /// Relative tolerance used when taking ceilings/floors of period ratios, so
 /// that exact harmonic relationships survive floating-point noise.
 const RATIO_EPS: f64 = 1e-9;
+
+/// The fixed-point loop's iteration cap.
+const MAX_ITERATIONS: usize = 10_000;
 
 /// `2^52`: below it every `f64` with a fractional part still has a bit
 /// for it, and truncation through `i64` is exact.
@@ -203,17 +210,24 @@ pub fn liu_layland_bound(n: usize) -> f64 {
 /// not sorted by ascending deadline.
 #[must_use]
 pub fn response_time(tasks: &[RmTask], index: usize, blocking: Seconds) -> Option<Seconds> {
-    response_time_counted(tasks, index, blocking).0
+    response_time_counted(tasks, index, blocking, None).0
 }
 
 /// Like [`response_time`], but also reports how many demand evaluations
 /// (fixed-point iterations over the scheduling-point demand function) the
-/// test performed.
+/// test performed, and can start the iteration higher.
 ///
 /// The count is the work metric behind the registry's incremental
 /// admission engine: re-testing only the priority levels a change touches
 /// must evaluate measurably fewer points than a full recomputation, and
 /// this counter is what makes that claim observable.
+///
+/// `start = None` is the cold loop: it iterates from `C_i + B` and stops
+/// once an iterate grows by at most the tolerance. `Some(w)` iterates from
+/// `max(C_i + B, w)` and stops only at an exact float fixed point (a stop
+/// slack of zero). It returns the cold loop's answer, bit for bit, when
+/// `w` is a start that [`check_levels`] accepts for this level; see the
+/// proof there.
 ///
 /// # Panics
 ///
@@ -224,26 +238,31 @@ pub fn response_time_counted(
     tasks: &[RmTask],
     index: usize,
     blocking: Seconds,
+    start: Option<Seconds>,
 ) -> (Option<Seconds>, u64) {
     debug_assert_priority_order(tasks);
     let task = &tasks[index];
     let tol = tolerance(task);
     let limit = task.deadline + tol;
-    let mut r = task.cost + blocking;
+    let base = task.cost + blocking;
+    let (mut r, slack) = match start {
+        None => (base, tol),
+        Some(w) => (base.max(w), Seconds::ZERO),
+    };
     let mut evaluations = 0u64;
     // Each iteration increases R until the fixed point; bail out as soon as
     // the deadline is exceeded. A generous iteration cap guards against
     // pathological float non-convergence.
-    for _ in 0..10_000 {
+    for _ in 0..MAX_ITERATIONS {
         if r > limit {
             return (None, evaluations);
         }
-        let mut next = task.cost + blocking;
+        let mut next = base;
         for hp in &tasks[..index] {
             next += hp.cost * ceil_ratio(r, hp.period);
         }
         evaluations += 1;
-        if next <= r + tol {
+        if next <= r + slack {
             let verdict = if next <= limit { Some(next) } else { None };
             return (verdict, evaluations);
         }
@@ -327,13 +346,48 @@ pub struct CountedCheck {
 }
 
 /// Response-time verdict for priority levels `from..n` of `tasks`,
-/// stopping at the first level that misses its deadline.
+/// stopping at the first level that misses its deadline: [`check_levels`]
+/// over those levels, with no warm start.
 ///
-/// This is the one Theorem 4.1 kernel behind [`is_schedulable_rta`] and the
-/// PDP analyzer's counted checks. Its verdict, and the first failing level,
-/// are those of a utilization pre-check (`U > 1 + ε` rejects) followed by
-/// [`response_time_counted`] on every level in turn; most levels are just
-/// decided without iterating.
+/// # Panics
+///
+/// Panics if `from > tasks.len()`, and in debug builds if the tasks are
+/// not sorted by ascending deadline.
+#[must_use]
+pub fn check_levels_from(tasks: &[RmTask], blocking: Seconds, from: usize) -> CountedCheck {
+    check_levels(tasks, blocking, from..tasks.len(), None, &mut [])
+}
+
+/// Fixed-point starts for [`check_levels`]: an earlier check of a copy of
+/// the same tasks, and the response times that check reported.
+///
+/// `response` must be what [`check_levels`] wrote for `tasks` and
+/// `blocking` (levels it did not write hold `None`). The kernel checks the
+/// rest of the warm-start conditions itself, level by level.
+#[derive(Debug, Clone, Copy)]
+pub struct WarmStart<'a> {
+    /// The copy's tasks, in priority order.
+    pub tasks: &'a [RmTask],
+    /// The copy's blocking term.
+    pub blocking: Seconds,
+    /// The copy's response time at each level, where one was reported.
+    pub response: &'a [Option<Seconds>],
+}
+
+/// Response-time verdict for the priority levels in `levels`, stopping at
+/// the first one that misses its deadline.
+///
+/// This is the one Theorem 4.1 kernel behind [`is_schedulable_rta`],
+/// [`check_levels_from`] and the PDP analyzer's counted checks and
+/// saturation probe. Its verdict, and the first failing level, are those
+/// of a utilization pre-check (`U > 1 + ε` rejects) followed by the cold
+/// [`response_time_counted`] on every level in turn; most levels are
+/// decided without iterating, and the rest may iterate from a warm start.
+///
+/// Unless `response` is empty, each tested level's slot receives the
+/// fixed point the loop returned: `Some(R)` when the loop ran and the
+/// level meets its deadline, `None` when the certificate decided the level
+/// or it misses. Those are the values a later [`WarmStart`] may reuse.
 ///
 /// # The certificate
 ///
@@ -362,20 +416,88 @@ pub struct CountedCheck {
 ///   `limit`: as a fixed point it fails the deadline test, otherwise the
 ///   next pass stops on it. Either way it returns `None`.
 /// * **Otherwise** (inside the guard band, or a higher-priority period is
-///   below `L_i`, or `C_i + B = 0`) the level runs the exact loop. So does
+///   below `L_i`, or `C_i + B = 0`) the level runs the loop. So does
 ///   every level of a set with a negative cost or blocking term, where the
 ///   summation bound above does not hold.
 ///
 /// A certified level counts as one evaluation. Debug builds re-run the
 /// exact loop on every certified level and assert the same verdict.
 ///
+/// # The warm start
+///
+/// A level the certificate leaves open iterates from `max(C_i + B, v)`,
+/// stopping only at an exact fixed point, where `v` is the warm copy's
+/// response at that level, when all of the following hold; otherwise it
+/// runs cold. Two more running values, `min C_j` and whether every
+/// `j < i` so far passed (a), keep each check O(1).
+///
+/// * (a) The copy's `P_j` equal these, and its `C_j` are non-negative and
+///   at most these, for every `j ≤ i`; its `B` is non-negative and at most
+///   this one. Every term is non-negative.
+/// * (b) `min_{j<i} C_j > tol + 8g·limit`, with `g` as above.
+/// * (c) `limit < 4000·min C_j`, or `i·(limit / min P_j + 2) < 9000`.
+///
+/// Write `f(R)` for the loop's float demand at `R`, `s = C_i + B` for its
+/// first term, and `r_0 = s`, `r_{k+1} = f(r_k)` for the cold iterates.
+///
+/// * **Monotone.** Float `+` and `×` are monotone, and so is the snapped
+///   ceiling [`ceil_ratio`] (it is `⌈q⌉` after snapping to a nearby
+///   integer, and the snap zones only ever round down). With non-negative
+///   terms `f` is a monotone step function of `R`, `f(R) ≥ s`, and `f`
+///   depends on `R` only through the ceiling vector `c(R)`. So the cold
+///   iterates never decrease and stay below every fixed point `X ≥ s`: if
+///   `r_k ≤ X` then `r_{k+1} = f(r_k) ≤ f(X) = X`. Their float values in
+///   `[s, X]` are finitely many, so they reach the least fixed point
+///   `L ≥ s` whenever one exists.
+/// * **The cold loop stops only at `L`** (by (a) and (b)). While the loop
+///   runs, `r_k ≤ limit`. If `c(r_k) = c(r_{k−1})` then `r_{k+1} = r_k`
+///   bit for bit. Otherwise some ceiling grew by at least 1, so the exact
+///   sum grew by at least `min C_j`. Both floats lie within `γ_{i+1} ≤ g`
+///   (relative) of their exact sums, so `r_{k+1} ≥ r_k(1−2g) +
+///   min C_j·(1−g)`, and `fl(r_k + tol) ≤ (r_k + tol)(1+u)`; (b) makes the
+///   first exceed the second. The first step is the same with `c(r_{−1})`
+///   read as all zeros. So `next ≤ r + tol` fires only when
+///   `r_{k+1} = r_k`, a fixed point below `L`, which is `L`. The loop thus
+///   returns `Some(L)` if `L ≤ limit` and `None` otherwise.
+/// * **The cap is unreachable** (by (b) and (c)). The same bound gives
+///   `r_{k+1} − r_k ≥ min C_j / 2` on every step that does not stop, so at
+///   most `2·limit / min C_j + 2` iterations run. Each such step after the
+///   first also raises some ceiling, and a ceiling at `R ≤ limit` is at
+///   most `limit/P_j + 2`, so at most `i·(limit / min P_j + 2) + 3` run.
+///   Either count is below [`MAX_ITERATIONS`].
+/// * **The warm start is exact** (by (a)). With equal periods and larger
+///   costs, `f ≥ f_s` pointwise, where `f_s` is the copy's demand: same
+///   ceilings, larger products and sums. `v` was returned by the copy's
+///   loop, cold or warm, so it is one of the copy's cold iterates, and
+///   `f_s(v) ≥ v`. Every fixed point `X ≥ s` of `f` has `f_s(X) ≤ X` and
+///   `X ≥ s_s`, so the copy's iterates, `v` among them, stay below `X`.
+///   Hence the start `w = max(s, v)` lies below every fixed point of `f`
+///   (at least `s`), and `f(w) ≥ max(s, f_s(v)) ≥ w`. From `w` the
+///   iterates rise and stay below `L`; a stop with `next ≤ r` is an exact
+///   fixed point, so it is `L`. They also dominate the cold iterates step
+///   for step, so they stop (at `L`, or above `limit` where `L` is too)
+///   no later than the cold loop. The warm loop returns the cold loop's
+///   `Option<Seconds>` bit for bit, in at most as many evaluations.
+///
+/// A warm level that was already at its fixed point costs one evaluation;
+/// one whose ceiling vector is unchanged since the copy costs at most two.
+/// Debug builds re-run the cold loop on every warm level and assert the
+/// same result.
+///
 /// # Panics
 ///
-/// Panics if `from > tasks.len()`, and in debug builds if the tasks are
-/// not sorted by ascending deadline.
+/// Panics if `levels` is out of range for `tasks`, and in debug builds if
+/// the tasks are not sorted by ascending deadline.
 #[must_use]
-pub fn check_levels_from(tasks: &[RmTask], blocking: Seconds, from: usize) -> CountedCheck {
+pub fn check_levels(
+    tasks: &[RmTask],
+    blocking: Seconds,
+    levels: Range<usize>,
+    warm: Option<WarmStart<'_>>,
+    response: &mut [Option<Seconds>],
+) -> CountedCheck {
     debug_assert_priority_order(tasks);
+    assert!(levels.end <= tasks.len(), "levels out of range");
     // Quick necessary condition: utilization (ignoring blocking) must not
     // exceed 1, otherwise RTA may take many iterations to diverge.
     let u: f64 = tasks.iter().map(RmTask::utilization).sum();
@@ -386,18 +508,24 @@ pub fn check_levels_from(tasks: &[RmTask], blocking: Seconds, from: usize) -> Co
             evaluations: 0,
         };
     }
-    // The certificate's error bound needs non-negative terms.
-    let certify = blocking >= Seconds::ZERO && tasks.iter().all(|t| t.cost >= Seconds::ZERO);
-    let mut hp_cost = Seconds::ZERO;
-    let mut hp_min_period = Seconds::new(f64::INFINITY);
-    for hp in &tasks[..from] {
-        hp_cost += hp.cost;
-        hp_min_period = hp_min_period.min(hp.period);
+    // Both proofs need non-negative terms.
+    let non_negative = blocking >= Seconds::ZERO && tasks.iter().all(|t| t.cost >= Seconds::ZERO);
+    let warm = warm.filter(|w| {
+        non_negative
+            && Seconds::ZERO <= w.blocking
+            && w.blocking <= blocking
+            && w.tasks.len() == tasks.len()
+            && w.response.len() == tasks.len()
+    });
+    let mut hp = Interference::new(warm.is_some());
+    for (j, task) in tasks[..levels.start].iter().enumerate() {
+        hp.push(task, warm.map(|w| &w.tasks[j]));
     }
     let mut evaluations = 0u64;
-    for (i, task) in tasks.iter().enumerate().skip(from) {
-        let certified = if certify {
-            certify_level(task, i, blocking, hp_cost, hp_min_period)
+    for i in levels {
+        let task = &tasks[i];
+        let certified = if non_negative {
+            certify_level(task, i, blocking, hp.cost, hp.min_period)
         } else {
             None
         };
@@ -409,12 +537,28 @@ pub fn check_levels_from(tasks: &[RmTask], blocking: Seconds, from: usize) -> Co
                     "O(1) certificate disagrees with the fixed point at level {i}"
                 );
                 evaluations += 1;
+                if let Some(slot) = response.get_mut(i) {
+                    *slot = None;
+                }
                 meets
             }
             None => {
-                let (response, evals) = response_time_counted(tasks, i, blocking);
+                let start = warm.and_then(|w| {
+                    let usable = hp.dominates
+                        && dominates(task, &w.tasks[i])
+                        && hp.cold_loop_is_exact(task, i);
+                    w.response[i].filter(|_| usable)
+                });
+                let (r, evals) = response_time_counted(tasks, i, blocking, start);
+                debug_assert!(
+                    start.is_none() || r == response_time(tasks, i, blocking),
+                    "warm start disagrees with the cold fixed point at level {i}"
+                );
                 evaluations += evals;
-                response.is_some()
+                if let Some(slot) = response.get_mut(i) {
+                    *slot = r;
+                }
+                r.is_some()
             }
         };
         if !meets {
@@ -424,8 +568,7 @@ pub fn check_levels_from(tasks: &[RmTask], blocking: Seconds, from: usize) -> Co
                 evaluations,
             };
         }
-        hp_cost += task.cost;
-        hp_min_period = hp_min_period.min(task.period);
+        hp.push(task, warm.map(|w| &w.tasks[i]));
     }
     CountedCheck {
         schedulable: true,
@@ -434,10 +577,60 @@ pub fn check_levels_from(tasks: &[RmTask], blocking: Seconds, from: usize) -> Co
     }
 }
 
-/// The O(1) verdict of [`check_levels_from`]'s certificate for `task` at
+/// Whether `task` may take a warm start from its copy `copy` (condition (a)
+/// of [`check_levels`] for one task): same period, non-negative cost no
+/// larger than `task`'s.
+fn dominates(task: &RmTask, copy: &RmTask) -> bool {
+    task.period == copy.period && Seconds::ZERO <= copy.cost && copy.cost <= task.cost
+}
+
+/// Running values over the higher-priority tasks `j < i` of a level walk.
+struct Interference {
+    /// `Σ C_j`.
+    cost: Seconds,
+    /// `min C_j`.
+    min_cost: Seconds,
+    /// `min P_j`.
+    min_period: Seconds,
+    /// Every task so far [`dominates`] its warm copy.
+    dominates: bool,
+}
+
+impl Interference {
+    fn new(warm: bool) -> Self {
+        Interference {
+            cost: Seconds::ZERO,
+            min_cost: Seconds::new(f64::INFINITY),
+            min_period: Seconds::new(f64::INFINITY),
+            dominates: warm,
+        }
+    }
+
+    fn push(&mut self, task: &RmTask, copy: Option<&RmTask>) {
+        self.cost += task.cost;
+        self.min_cost = self.min_cost.min(task.cost);
+        self.min_period = self.min_period.min(task.period);
+        self.dominates &= copy.is_some_and(|copy| dominates(task, copy));
+    }
+
+    /// Conditions (b) and (c) of [`check_levels`] for `task` at priority
+    /// `level`: the cold loop stops only at the least fixed point, within
+    /// the iteration cap.
+    fn cold_loop_is_exact(&self, task: &RmTask, level: usize) -> bool {
+        let tol = tolerance(task);
+        let limit = task.deadline + tol;
+        let g = 2.0 * (level + 2) as f64 * f64::EPSILON;
+        let gap = self.min_cost > tol + limit * (8.0 * g);
+        let capped = limit < self.min_cost * 4_000.0
+            || level as f64 * (limit / self.min_period + 2.0) < 9_000.0;
+        gap && capped
+    }
+}
+
+/// The O(1) verdict of [`check_levels`]'s certificate for `task` at
 /// priority `level`, given the running sum of higher-priority costs and
 /// their smallest period: `Some(meets_deadline)`, or `None` when only the
-/// exact loop can decide.
+/// fixed-point loop can decide.
 fn certify_level(
     task: &RmTask,
     level: usize,
